@@ -12,9 +12,10 @@ from repro.analysis.memdep import analyze_loop_dependences, iteration_spans
 from repro.analysis.pathprof import profile_paths
 from repro.analysis.regions import loop_intervals
 from repro.analysis.slicing import slice_loop_body
-from repro.energy.mcpat import EnergyModel
-from repro.tdg.engine import TimingEngine, AccelResources
-from repro.tdg.fastpath import make_engine
+from repro.energy.mcpat import EnergyEvents, EnergyModel
+from repro.tdg.fastpath import (
+    LoweringError, lower_stream, make_engine, resolve_engine,
+)
 
 
 class SeqAllocator:
@@ -239,6 +240,35 @@ class BSAModel:
         must NOT consult measured TDG timing."""
         return 1.0
 
+    # -- sharing transforms across cores ---------------------------------
+    def transform_key(self, core_config):
+        """What of *core_config* :meth:`transform_interval` reads
+        (hashable).
+
+        Cores with equal keys share one transformed stream per
+        invocation; only timing and pricing run per core.  The default
+        is the whole config, so a model that does not override this
+        never shares a stream across cores.
+        """
+        return core_config
+
+    def invocation_state(self, plan, interval):
+        """Advance *plan*'s cross-invocation state past one invocation.
+
+        Returns the part of that state the invocation's transform
+        reads (hashable; part of the sharing key), or None for a model
+        with no such state.  Called once per (core, invocation) in
+        core-major order, the order a per-core evaluation visits them.
+        """
+        return None
+
+    def transform_invocation(self, ctx, plan, interval, core_config,
+                             seq_alloc, state):
+        """:meth:`transform_interval` under a replayed *state* (from
+        :meth:`invocation_state`) instead of the plan's current one."""
+        return self.transform_interval(ctx, plan, interval, core_config,
+                                       seq_alloc)
+
     # -- evaluation ------------------------------------------------------
     def evaluate_region(self, ctx, plan, core_config,
                         max_invocations=None, engine=None):
@@ -250,41 +280,85 @@ class BSAModel:
         :func:`repro.tdg.fastpath.resolve_engine`); results are
         byte-identical either way.
         """
-        loop = plan["loop"]
-        key = loop.key
+        return self.evaluate_cores(ctx, plan, (core_config,),
+                                   max_invocations, engine)[0]
+
+    def evaluate_cores(self, ctx, plan, core_configs,
+                       max_invocations=None, engine=None):
+        """:meth:`evaluate_region` under each of *core_configs* in turn.
+
+        Each invocation is transformed, lowered and turned into energy
+        events once per distinct (:meth:`transform_key`,
+        :meth:`invocation_state`); only timing and pricing run per
+        core.  The results equal evaluating the cores one after the
+        other.  Returns one estimate (or None) per config.
+        """
+        key = plan["loop"].key
         intervals = ctx.intervals.get(key, ())
         if not intervals:
-            return None
+            return [None] * len(core_configs)
         evaluated = intervals if max_invocations is None \
             else intervals[:max_invocations]
+        engine = resolve_engine(engine)
+        states = [[self.invocation_state(plan, interval)
+                   for interval in evaluated] for _ in core_configs]
+        transform_keys = [self.transform_key(config)
+                          for config in core_configs]
         seq_alloc = SeqAllocator()
-        energy_model = ctx.energy_model(core_config)
         entry_overhead = self.region_entry_overhead(plan)
-        total_cycles = 0
-        total_energy = 0.0
-        total_accel_cycles = 0
-        for interval in evaluated:
-            stream = self.transform_interval(ctx, plan, interval,
-                                             core_config, seq_alloc)
-            result = make_engine(
-                core_config, engine,
-                accel_resources=self.accel_resources(core_config),
-                detailed=self.detailed,
-            ).run(stream)
-            cycles = result.cycles + entry_overhead
-            breakdown = energy_model.evaluate(
-                stream, cycles,
-                core_active=not self.power_gates_core,
-                active_accels=(self.name,),
-            )
-            total_cycles += cycles
-            total_energy += breakdown.total_pj
-            total_accel_cycles += cycles
-        if len(evaluated) < len(intervals):
-            scale = len(intervals) / len(evaluated)
-            total_cycles = int(total_cycles * scale)
-            total_energy *= scale
-            total_accel_cycles = int(total_accel_cycles * scale)
+        total_cycles = [0] * len(core_configs)
+        total_energy = [0.0] * len(core_configs)
+        for step, interval in enumerate(evaluated):
+            shared = {}
+            for core, config in enumerate(core_configs):
+                state = states[core][step]
+                share_key = (transform_keys[core], state)
+                prepared = shared.get(share_key)
+                if prepared is None:
+                    prepared = shared[share_key] = _prepare(
+                        self.transform_invocation(
+                            ctx, plan, interval, config, seq_alloc,
+                            state),
+                        engine)
+                timed, priced = prepared
+                result = make_engine(
+                    config, engine,
+                    accel_resources=self.accel_resources(config),
+                    detailed=self.detailed,
+                ).run(timed)
+                cycles = result.cycles + entry_overhead
+                breakdown = ctx.energy_model(config).evaluate(
+                    priced, cycles,
+                    core_active=not self.power_gates_core,
+                    active_accels=(self.name,),
+                )
+                total_cycles[core] += cycles
+                total_energy[core] += breakdown.total_pj
         dyn = sum(end - start for start, end in intervals)
-        return RegionEstimate(key, self.name, total_cycles, total_energy,
-                              dyn, len(intervals))
+        estimates = []
+        for cycles, energy in zip(total_cycles, total_energy):
+            if len(evaluated) < len(intervals):
+                scale = len(intervals) / len(evaluated)
+                cycles = int(cycles * scale)
+                energy *= scale
+            estimates.append(RegionEstimate(
+                key, self.name, cycles, energy, dyn, len(intervals)))
+        return estimates
+
+
+def _prepare(stream, engine):
+    """``(timed, priced)`` forms of one transformed stream.
+
+    The fast engine times a stream lowered once; pricing then reads
+    energy events from the same lowering.  Without numpy, or when the
+    stream cannot be lowered, the DynInst list is kept for the object
+    engine and the per-instruction energy walk.
+    """
+    if engine != "fast":
+        return stream, stream
+    try:
+        lowered = lower_stream(stream)
+    except LoweringError:
+        return stream, stream
+    events = EnergyEvents.of(lowered)
+    return lowered, stream if events is None else events

@@ -97,8 +97,32 @@ class DPCGRAModel(BSAModel):
         return max(0.8, estimate)
 
     # ------------------------------------------------------------------
+    def transform_key(self, core_config):
+        return core_config.vector_len
+
+    def invocation_state(self, plan, interval):
+        """Advance the config-cache LRU; True when the invocation
+        misses it and so starts with a ``cfg`` instruction."""
+        cache = plan["config_cache"]
+        key = plan["loop"].key
+        if key in cache:
+            cache.remove(key)
+            cache.append(key)
+            return False
+        cache.append(key)
+        if len(cache) > CONFIG_CACHE_ENTRIES:
+            cache.pop(0)
+        return True
+
+    def transform_invocation(self, ctx, plan, interval, core_config,
+                             seq_alloc, state):
+        return self.transform_interval(ctx, plan, interval, core_config,
+                                       seq_alloc, configure=state)
+
     def transform_interval(self, ctx, plan, interval, core_config,
-                           seq_alloc):
+                           seq_alloc, configure=None):
+        """*configure* forces whether the stream starts with a ``cfg``
+        instruction; None consults (and advances) the config cache."""
         loop = plan["loop"]
         dep = plan["dep"]
         slice_info = plan["slice"]
@@ -114,8 +138,14 @@ class DPCGRAModel(BSAModel):
 
         stream = []
         seq_map = {}
-        self._maybe_configure(plan, loop, stream, seq_alloc, trace,
-                              interval)
+        if configure is None:
+            configure = self.invocation_state(plan, interval)
+        if configure:
+            stream.append(trace[interval[0]].clone(
+                seq=seq_alloc.next(), opcode=Opcode.CFG, src_deps=(),
+                mem_dep=None, mem_addr=None, mem_lat=0, mem_level=None,
+                taken=None, mispredicted=False, icache_lat=0,
+                lat_override=self.config_latency, vector_width=1))
 
         prev_first_cgra = None
         prev_last_cgra = None
@@ -136,23 +166,6 @@ class DPCGRAModel(BSAModel):
                 prev_last_cgra = last_cgra
             index += group_len
         return stream
-
-    def _maybe_configure(self, plan, loop, stream, seq_alloc, trace,
-                         interval):
-        cache = plan["config_cache"]
-        if loop.key in cache:
-            cache.remove(loop.key)
-            cache.append(loop.key)
-            return
-        cache.append(loop.key)
-        if len(cache) > CONFIG_CACHE_ENTRIES:
-            cache.pop(0)
-        template = trace[interval[0]]
-        stream.append(template.clone(
-            seq=seq_alloc.next(), opcode=Opcode.CFG, src_deps=(),
-            mem_dep=None, mem_addr=None, mem_lat=0, mem_level=None,
-            taken=None, mispredicted=False, icache_lat=0,
-            lat_override=self.config_latency, vector_width=1))
 
     def _emit_group(self, trace, group, loop, slice_info, dep, lanes,
                     stream, seq_map, seq_alloc, prev_first, prev_last):

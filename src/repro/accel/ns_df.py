@@ -109,6 +109,9 @@ class NSDataflowModel(BSAModel):
                    * control_discount)
 
     # ------------------------------------------------------------------
+    def transform_key(self, core_config):
+        return ()
+
     def transform_interval(self, ctx, plan, interval, core_config,
                            seq_alloc):
         loop = plan["loop"]

@@ -77,6 +77,9 @@ class SIMDModel(BSAModel):
                    * control_discount)
 
     # ------------------------------------------------------------------
+    def transform_key(self, core_config):
+        return core_config.vector_len
+
     def transform_interval(self, ctx, plan, interval, core_config,
                            seq_alloc):
         loop = plan["loop"]

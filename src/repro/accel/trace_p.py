@@ -119,6 +119,9 @@ class TraceProcessorModel(BSAModel):
                    * replay_discount)
 
     # ------------------------------------------------------------------
+    def transform_key(self, core_config):
+        return ()
+
     def transform_interval(self, ctx, plan, interval, core_config,
                            seq_alloc):
         loop = plan["loop"]

@@ -10,10 +10,16 @@ Absolute joules are not the point (the paper reports relative energy);
 the scaling *between* configurations is what matters.
 """
 
-from repro.isa.opcodes import Opcode, OpClass, is_vector
+from repro.isa.opcodes import Opcode, OpClass, is_vector, op_class
+from repro.tdg.fastpath import MEM_LEVEL_CODES, OPCODES
 from repro.energy.cacti import (
     L1D_SRAM, L1I_SRAM, L2_SRAM, DRAM_ACCESS_PJ,
 )
+
+try:
+    import numpy as _np
+except ImportError:          # pragma: no cover - exercised in CI no-numpy job
+    _np = None
 
 #: Functional-unit op energy by class (pJ per scalar op).
 _FU_PJ = {
@@ -146,8 +152,10 @@ class EnergyModel:
         *active_accels* names BSAs powered on during these cycles.
         """
         breakdown = EnergyBreakdown()
-        per_inst = self._price_instructions(stream, breakdown)
-        del per_inst  # priced in place
+        if isinstance(stream, EnergyEvents):
+            self._price_events(stream, breakdown)
+        else:
+            self._price_instructions(stream, breakdown)
         # Leakage.
         core_leak = self.core_leak_pj_per_cycle
         if not core_active:
@@ -158,7 +166,47 @@ class EnergyModel:
                           ACCEL_LEAK_PJ.get(accel, 8.0) * cycles)
         return breakdown
 
+    def _price_events(self, events, breakdown):
+        """Column twin of :meth:`_price_instructions`, bit for bit.
+
+        The components whose coefficients do not depend on the core
+        come precomputed with *events*; this adds the ones that do and
+        inserts every component in the walk's first-seen order.
+        """
+        terms = list(events.static_terms)
+        core = events.core
+        constant = [("fetch", self.fetch_pj), ("decode", self.decode_pj)]
+        if not self.config.in_order:
+            constant += [("rename", self.rename_pj), ("iq", self.iq_pj),
+                         ("rob", self.rob_pj)]
+        constant += [("bypass", self.bypass_pj),
+                     ("commit", self.commit_pj)]
+        for name, picojoules in constant:
+            _add_constant(terms, name, core, picojoules)
+        _add_term(terms, "regfile", core,
+                  self.regread_pj * events.core_nsrc
+                  + self.regwrite_pj * events.core_dest)
+        _add_constant(terms, "bpred", events.branches, self.bpred_pj)
+        _add_constant(terms, "lsq", events.core_mem, self.lsq_pj)
+        _add_term(terms, "l1d", events.mem,
+                  _np.where(events.mem_on_accel, L1D_SRAM.access_energy_pj,
+                            self.l1d_pj * events.mem_lane_factor),
+                  events.mem_on_accel)
+        _add_term(terms, "l2", events.l2,
+                  _np.where(events.l2_on_accel, L2_SRAM.access_energy_pj,
+                            self.l2_pj),
+                  events.l2_on_accel)
+        _add_term(terms, "dram", events.dram,
+                  _np.where(events.dram_on_accel, DRAM_ACCESS_PJ,
+                            self.dram_pj),
+                  events.dram_on_accel)
+        terms.sort()
+        components = breakdown.components
+        for _, _, name, picojoules in terms:
+            components[name] = picojoules
+
     def _price_instructions(self, stream, breakdown):
+        """Reference oracle: one walk over the DynInst stream."""
         in_order = self.config.in_order
         for inst in stream:
             opcode = inst.opcode
@@ -226,3 +274,169 @@ class EnergyModel:
                 breakdown.add("dram", DRAM_ACCESS_PJ)
             if accel == "trace_p" and inst.opcode is Opcode.ST:
                 breakdown.add("store_buffer", _STORE_BUFFER_PJ)
+
+
+# ---------------------------------------------------------------------------
+# Column pricing.
+
+#: Order in which the walk adds a core instruction's components; a
+#: component first seen at the same instruction as another sorts by
+#: this rank.  ``fu``/``simd_fu`` are exclusive and share a slot.
+_CORE_RANK = {name: rank for rank, name in enumerate((
+    "fetch", "decode", "rename", "iq", "rob", "regfile", "bypass",
+    "commit", "fu", "bpred", "accel_comm", "accel_config", "lsq", "l1d",
+    "l2", "dram"))}
+_CORE_RANK["simd_fu"] = _CORE_RANK["fu"]
+
+#: The same for accelerator instructions; the op slot is one of
+#: ``<accel>_cfu``, ``accel_config`` or ``<accel>_op``.
+_ACCEL_RANK = {"op": 0, "accel_config": 0, "net": 1, "l1d": 2, "l2": 3,
+               "dram": 4, "store_buffer": 5}
+
+
+def _repeat_sum(picojoules, count):
+    """*picojoules* added *count* times in sequence, as the walk does."""
+    return float(_np.add.accumulate(_np.full(count, picojoules))[-1])
+
+
+def _add_term(terms, name, positions, values, on_accel=False,
+              slot=None):
+    """Append one component's ``(first, rank, name, total)`` term.
+
+    *values* are its per-instruction picojoules at stream *positions*
+    (zeros allowed, as the walk skips them).  The total adds them in
+    stream order, as the walk does: ``np.add.accumulate`` is
+    sequential, where ``np.sum`` would sum pairwise and change the last
+    bits.  *on_accel* (a flag, or one per position) picks the rank
+    table of the instruction the component is first seen at; *slot*
+    names its rank when that differs from *name*.
+    """
+    nonzero = _np.flatnonzero(values)
+    if not nonzero.size:
+        return
+    first = nonzero[0]
+    if not isinstance(on_accel, bool):
+        on_accel = bool(on_accel[first])
+    ranks = _ACCEL_RANK if on_accel else _CORE_RANK
+    terms.append((int(positions[first]), ranks[slot or name], name,
+                  float(_np.add.accumulate(values)[-1])))
+
+
+def _add_constant(terms, name, positions, picojoules, on_accel=False,
+                  slot=None):
+    """:func:`_add_term` for *picojoules* at every one of *positions*."""
+    if picojoules and len(positions):
+        ranks = _ACCEL_RANK if on_accel else _CORE_RANK
+        terms.append((int(positions[0]), ranks[slot or name], name,
+                      _repeat_sum(picojoules, len(positions))))
+
+
+#: Opcode ids of the ``op`` column, and per-id lookups over them.
+_OP = {opcode: i for i, opcode in enumerate(OPCODES)}
+if _np is not None:
+    _FU_PJ_BY_OP = _np.array([_FU_PJ[op_class(o)] for o in OPCODES])
+    _IS_VECTOR_BY_OP = _np.array([is_vector(o) for o in OPCODES])
+
+
+class EnergyEvents:
+    """One stream's energy events as columns, priced per core.
+
+    Built from the event columns a
+    :class:`~repro.tdg.fastpath.LoweredStream` fills in its lowering
+    pass, so a stream is walked once however many cores price it.
+    Everything that does not depend on the core is computed here once;
+    :meth:`EnergyModel.evaluate` adds the rest and yields the same
+    ``components`` (keys, key order and float bits) as the
+    per-instruction walk.  Requires numpy; ``len()`` is the number of
+    instructions, as for a DynInst list.
+    """
+
+    def __init__(self, op, nsrc, dest, vwidth, level, is_mem,
+                 accel_tag, accel_tags):
+        self._columns = (op, nsrc, dest, vwidth, level, is_mem,
+                         accel_tag)
+        self._accel_tags = accel_tags
+        self.n = len(op)
+        on_accel = accel_tag >= 0
+        core = self.core = _np.flatnonzero(~on_accel)
+        core_op = op[core]
+        self.core_nsrc = nsrc[core].astype(_np.float64)
+        self.core_dest = dest[core].astype(_np.float64)
+        self.branches = core[core_op == _OP[Opcode.BR]]
+        mem = self.mem = _np.flatnonzero(is_mem)
+        self.mem_on_accel = on_accel[mem]
+        self.core_mem = mem[~self.mem_on_accel]
+        self.mem_lane_factor = \
+            1 + 0.3 * (_np.maximum(vwidth[mem], 1) - 1)
+        mem_level = level[mem]
+        self.l2 = mem[mem_level != 0]           # missed L1: l2 or dram
+        self.l2_on_accel = on_accel[self.l2]
+        self.dram = mem[mem_level == MEM_LEVEL_CODES["dram"]]
+        self.dram_on_accel = on_accel[self.dram]
+        self.static_terms = self._static_terms(
+            op, vwidth, is_mem, accel_tag, accel_tags, on_accel, core,
+            core_op)
+
+    @classmethod
+    def of(cls, lowered):
+        """Events of a lowered stream, or None without numpy."""
+        if _np is None:
+            return None
+        return cls(*(getattr(lowered, field)
+                     for field in lowered.EVENT_FIELDS),
+                   lowered.is_mem, lowered.accel_tag, lowered.accel_tags)
+
+    def select(self, spans):
+        """Events of the instructions in *spans* (``(start, end)``
+        ranges), concatenated in order."""
+        index = _np.concatenate(
+            [_np.arange(start, end) for start, end in spans]) \
+            if spans else _np.zeros(0, dtype=_np.int64)
+        return EnergyEvents(*(column[index] for column in self._columns),
+                            self._accel_tags)
+
+    def __len__(self):
+        return self.n
+
+    @staticmethod
+    def _static_terms(op, vwidth, is_mem, accel_tag, accel_tags,
+                      on_accel, core, core_op):
+        terms = []
+        core_width = vwidth[core]
+        vector = (core_width > 1) | _IS_VECTOR_BY_OP[core_op]
+        fu_pj = _FU_PJ_BY_OP[core_op]
+        scalar = ~vector
+        _add_term(terms, "fu", core[scalar], fu_pj[scalar])
+        _add_term(terms, "simd_fu", core[vector],
+                  fu_pj[vector] * _np.maximum(core_width[vector], 1)
+                  * _VECTOR_LANE_FACTOR)
+        _add_constant(terms, "accel_comm",
+                      core[(core_op == _OP[Opcode.SEND])
+                           | (core_op == _OP[Opcode.RECV])],
+                      _SEND_RECV_PJ)
+        configs = _np.flatnonzero(op == _OP[Opcode.CFG])
+        if configs.size:
+            _add_constant(terms, "accel_config", configs, _CONFIG_PJ,
+                          bool(on_accel[configs[0]]))
+        for tag_id, accel in enumerate(accel_tags):
+            positions = _np.flatnonzero(accel_tag == tag_id)
+            tag_op = op[positions]
+            cfu = tag_op == _OP[Opcode.CFU]
+            op_pj = _ACCEL_OP_PJ.get(accel, 4.0)
+            _add_term(terms, f"{accel}_cfu", positions[cfu],
+                      op_pj + _CFU_EXTRA_OP_PJ
+                      * (_np.maximum(vwidth[positions[cfu]], 1) - 1),
+                      True, slot="op")
+            _add_constant(terms, f"{accel}_op",
+                          positions[~cfu & (tag_op != _OP[Opcode.CFG])],
+                          op_pj, True, slot="op")
+            _add_constant(terms, f"{accel}_net", positions,
+                          _ACCEL_NETWORK_PJ.get(accel, 2.0), True,
+                          slot="net")
+            if accel == "trace_p":
+                _add_constant(terms, "store_buffer",
+                              positions[(tag_op == _OP[Opcode.ST])
+                                        & (is_mem[positions] != 0)],
+                              _STORE_BUFFER_PJ, True)
+        return tuple(terms)
+

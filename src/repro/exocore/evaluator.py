@@ -2,12 +2,16 @@
 
 This is the expensive step the TDG makes tractable: the trace is
 simulated once, then every (core, BSA, region) combination is costed by
-transforming and re-timing only the affected trace slices.
+transforming and re-timing only the affected trace slices.  Each slice
+is transformed, lowered and turned into energy events once for all
+cores that read the same of it (see :meth:`BSAModel.evaluate_cores`);
+only timing and pricing run per core.
 """
 
 from repro.accel import BSA_REGISTRY, AnalysisContext
 from repro.analysis.regions import attribute_baseline
 from repro.core_model import core_by_name
+from repro.energy.mcpat import EnergyEvents
 from repro.obs import counter, span
 from repro.tdg.fastpath import (
     LoweringError, lower_stream, make_engine, resolve_engine,
@@ -88,13 +92,17 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         trace = tdg.trace.instructions
 
         # The baseline trace is evaluated under every core config, so
-        # lower it once up front and amortize across runs.
+        # lower it once up front and amortize across runs; its energy
+        # events are shared too.
         baseline_stream = trace
+        events = None
         if engine == "fast":
             try:
                 baseline_stream = lower_stream(trace)
             except LoweringError:
                 pass
+            else:
+                events = EnergyEvents.of(baseline_stream)
 
         # ---- baselines --------------------------------------------------
         for core_name in core_names:
@@ -107,13 +115,15 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
                 per_loop_cycles = attribute_baseline(
                     commit_times, ctx.intervals, result.cycles)
                 energy_model = ctx.energy_model(config)
-                total_energy = energy_model.evaluate(trace, result.cycles)
+                total_energy = energy_model.evaluate(
+                    trace if events is None else events, result.cycles)
                 per_loop_energy = {}
                 for key, spans in ctx.intervals.items():
                     if not spans:
                         per_loop_energy[key] = 0.0
                         continue
-                    stream = _concat(trace, spans)
+                    stream = _concat(trace, spans) if events is None \
+                        else events.select(spans)
                     breakdown = energy_model.evaluate(
                         stream, per_loop_cycles.get(key, 0))
                     per_loop_energy[key] = breakdown.total_pj
@@ -121,7 +131,12 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
                     core_name, result.cycles, total_energy.total_pj,
                     per_loop_cycles, per_loop_energy)
 
+        # The region estimates never read the lowered trace: free it so
+        # it does not add to their peak memory.
+        del baseline_stream, events
+
         # ---- accelerated estimates --------------------------------------
+        configs = [core_by_name(core_name) for core_name in core_names]
         for bsa in bsa_names:
             model = BSA_REGISTRY[bsa](
                 detailed=detailed.get(bsa, False))
@@ -129,18 +144,20 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
                 plans = model.find_candidates(ctx)
                 current.set(candidates=len(plans))
             evaluation.plans[bsa] = plans
-            for core_name in core_names:
-                config = core_by_name(core_name)
-                estimates = {}
-                with span("accel.estimate_regions", bsa=bsa,
-                          core=core_name):
-                    for key, plan in plans.items():
-                        estimate = model.evaluate_region(
-                            ctx, plan, config,
-                            max_invocations=max_invocations,
-                            engine=engine)
+            per_core = [{} for _ in core_names]
+            with span("accel.estimate_regions", bsa=bsa,
+                      cores=len(core_names)):
+                # Region by region, so only one region's transformed
+                # streams are alive at a time.
+                for key, plan in plans.items():
+                    for estimates, estimate in zip(
+                            per_core, model.evaluate_cores(
+                                ctx, plan, configs,
+                                max_invocations=max_invocations,
+                                engine=engine)):
                         if estimate is not None:
                             estimates[key] = estimate
+            for core_name, estimates in zip(core_names, per_core):
                 counter("repro_region_estimates_total",
                         "per-region accelerated estimates produced") \
                     .inc(len(estimates), bsa=bsa)

@@ -23,8 +23,22 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.dse.parallel import evaluate_payload
-from repro.obs import counter, dump_blackbox, flight_event
+from repro.obs import (
+    counter, disable, dump_blackbox, flight_event, get_recorder,
+)
 from repro.resilience.policy import EvaluationTimeout
+
+
+def _quiet_worker():
+    """Pool initializer: stop recording spans in the worker.
+
+    A forked worker inherits the server's enabled tracing, and nothing
+    ever exports or clears a worker's global recorder, so every
+    evaluation would grow it for good.  Tasks that carry ``obs`` still
+    record, into a private recorder under :func:`repro.obs.isolated`.
+    """
+    disable()
+    get_recorder().clear()
 
 
 def _warm_worker(_index):
@@ -68,7 +82,8 @@ class EvaluationPool:
 
     def _make_executor(self):
         if self.mode == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
+            return ProcessPoolExecutor(max_workers=self.workers,
+                                       initializer=_quiet_worker)
         return ThreadPoolExecutor(max_workers=self.workers,
                                   thread_name_prefix="repro-eval")
 

@@ -93,12 +93,21 @@ _OP_INDEX = {cls: i for i, cls in enumerate(_OP_CLASSES)}
 PORT_TABLE = len(_OP_CLASSES)
 _N_TABLES = PORT_TABLE + 1
 
+#: Opcode ids of the ``op`` column: positions in ``tuple(Opcode)``.
+OPCODES = tuple(Opcode)
+
 #: Per-opcode lookups hoisted out of the lowering loop (the DynInst
 #: ``latency``/``op_class`` properties cost a function call plus dict
-#: probes per instruction; these flatten both to one dict hit).
-_FU_LAT = {opcode: fu_latency(opcode) for opcode in Opcode}
-_TAB_OF = {opcode: _OP_INDEX[op_class(opcode)] for opcode in Opcode}
-_IS_STORE = {opcode: is_store(opcode) for opcode in Opcode}
+#: probes per instruction; this flattens them to one dict hit):
+#: ``(op id, nominal latency, FU table id, is store, unpipelined)``.
+_OP_INFO = {
+    opcode: (i, fu_latency(opcode), _OP_INDEX[op_class(opcode)],
+             1 if is_store(opcode) else 0, opcode in _UNPIPELINED)
+    for i, opcode in enumerate(OPCODES)
+}
+
+#: ``level`` column codes: 0 for an L1 hit or no memory access.
+MEM_LEVEL_CODES = {"l2": 1, "dram": 2}
 
 #: Critical-edge bind codes shared by the Python and C loops.
 _BIND_KINDS = (
@@ -145,7 +154,7 @@ class LoweredStream:
         "n", "is_accel", "lat", "occ", "tab", "is_mem", "is_store",
         "memdep", "dep_ptr", "dep_idx", "extra_ptr", "extra_idx",
         "extra_lat", "mispred", "icache", "accel_tag", "accel_tags",
-        "has_accel", "_addrs",
+        "has_accel", "_addrs", "op", "nsrc", "dest", "vwidth", "level",
     )
 
     #: Kernel argument order of the per-instruction arrays.
@@ -154,6 +163,12 @@ class LoweredStream:
         "memdep", "dep_ptr", "dep_idx", "extra_ptr", "extra_idx",
         "extra_lat", "mispred", "icache", "accel_tag",
     )
+
+    #: Energy-event columns (see :class:`repro.energy.mcpat.EnergyEvents`),
+    #: filled in the same pass: opcode id (:data:`OPCODES`), source
+    #: count, writes-a-register flag, vector width and memory level
+    #: (:data:`MEM_LEVEL_CODES`).
+    EVENT_FIELDS = ("op", "nsrc", "dest", "vwidth", "level")
 
     def __init__(self, stream):
         seqpos = {}
@@ -173,12 +188,14 @@ class LoweredStream:
         mispred = []
         icache = []
         accel_tag = []
+        ops = []
+        nsrc = []
+        dest = []
+        vwidth = []
+        level = []
         # Bound methods / hoisted lookups: this loop runs once per
         # dynamic instruction and is itself perf-sensitive.
-        fu_lat = _FU_LAT
-        tab_of = _TAB_OF
-        store_of = _IS_STORE
-        unpipelined = _UNPIPELINED
+        op_info = _OP_INFO
         seqpos_get = seqpos.get
         lat_append = lat.append
         occ_append = occ.append
@@ -193,29 +210,42 @@ class LoweredStream:
         icache_append = icache.append
         accel_append = accel_tag.append
         is_accel_append = is_accel.append
+        level_of = MEM_LEVEL_CODES.get
+        op_append = ops.append
+        nsrc_append = nsrc.append
+        dest_append = dest.append
+        vwidth_append = vwidth.append
+        level_append = level.append
         i = 0
         for inst in stream:
-            opcode = inst.opcode
+            op, nominal, table, store, unpipelined = op_info[inst.opcode]
+            src_deps = inst.src_deps
+            static = inst.static
+            op_append(op)
+            nsrc_append(len(src_deps))
+            dest_append(0 if static is None or static.dest is None else 1)
+            vwidth_append(inst.vector_width)
             # Inlined DynInst.latency (override -> observed memory
             # latency -> nominal FU latency).
             latency = inst.lat_override
             mem = inst.mem_addr is not None
             if latency is None:
                 mem_lat = inst.mem_lat
-                latency = mem_lat if mem and mem_lat \
-                    else fu_lat[opcode]
+                latency = mem_lat if mem and mem_lat else nominal
             lat_append(latency)
-            occ_append(latency if opcode in unpipelined else 1)
+            occ_append(latency if unpipelined else 1)
             if mem:
                 is_mem_append(1)
                 tab_append(PORT_TABLE)
+                level_append(level_of(inst.mem_level, 0))
             else:
                 is_mem_append(0)
-                tab_append(tab_of[opcode])
-            is_st_append(1 if store_of[opcode] else 0)
+                tab_append(table)
+                level_append(0)
+            is_st_append(store)
             md = inst.mem_dep
             memdep_append(seqpos_get(md, -1) if md is not None else -1)
-            for dep in inst.src_deps:
+            for dep in src_deps:
                 # Live-in producers resolve to start_time, which can
                 # never exceed the running ready time — drop them.
                 pos = seqpos_get(dep, -1)
@@ -258,6 +288,11 @@ class LoweredStream:
             self.mispred = _int_array(mispred)
             self.icache = _int_array(icache)
             self.accel_tag = _int_array(accel_tag)
+            self.op = _int_array(ops)
+            self.nsrc = _int_array(nsrc)
+            self.dest = _int_array(dest)
+            self.vwidth = _int_array(vwidth)
+            self.level = _int_array(level)
         except (TypeError, OverflowError) as exc:
             raise LoweringError(f"stream is not int64-lowerable: {exc}") \
                 from exc
@@ -892,10 +927,13 @@ class FastTimingEngine:
             # into fresh flat tables; only the object engine models
             # cross-run carry-over.
             return self._object_fallback(stream, start_time)
-        try:
-            lowered = lower_stream(stream)
-        except LoweringError:
-            return self._object_fallback(stream, start_time)
+        if isinstance(stream, LoweredStream):
+            lowered = stream
+        else:
+            try:
+                lowered = lower_stream(stream)
+            except LoweringError:
+                return self._object_fallback(stream, start_time)
         counter("repro_fastpath_runs_total",
                 "fast-engine evaluations (lowered streams timed)").inc()
         if kernel_available():

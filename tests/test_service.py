@@ -531,3 +531,52 @@ class TestLatencyHistogram:
         snapshot = LatencyHistogram().snapshot()
         assert snapshot["count"] == 0
         assert snapshot["p95_ms"] == 0.0
+
+
+def recording_evaluator(task):
+    """Pool evaluator that records spans the way an evaluation does and
+    reports how many records the worker's global recorder holds."""
+    from repro.obs import get_recorder, isolated, span
+
+    private = None
+    if task.get("obs"):
+        with isolated() as (_registry, recorder):
+            with span("stub.evaluate"):
+                pass
+        private = len(recorder.records)
+    else:
+        with span("stub.evaluate"):
+            pass
+    return private, len(get_recorder().records)
+
+
+class TestPoolWorkerSpans:
+    def test_process_workers_do_not_accumulate_spans(self):
+        """``repro serve`` enables tracing before it forks its pool; a
+        worker must not keep every evaluation's spans for good."""
+        import asyncio
+
+        from repro import obs
+        from repro.service.workers import EvaluationPool
+
+        was_enabled = obs.is_enabled()
+        obs.enable()
+        pool = EvaluationPool(workers=1, mode="process",
+                              evaluator=recording_evaluator)
+
+        async def go():
+            await pool.start(warm=False)
+            plain = [await pool.evaluate({"name": f"k{i}"})
+                     for i in range(12)]
+            traced = await pool.evaluate({"name": "t", "obs": True})
+            return plain, traced
+
+        try:
+            plain, traced = asyncio.run(go())
+        finally:
+            pool.shutdown()
+            if not was_enabled:
+                obs.disable()
+        assert [held for _, held in plain] == [0] * 12
+        # A task that carries obs still records, privately.
+        assert traced == (1, 0)

@@ -13,9 +13,6 @@ cache export              dump the sweep cache as JSONL training records
 bench                     perf-trajectory smoke benchmark (BENCH_*.json)
 validate                  regenerate the Table 1 validation summary
 serve                     long-lived HTTP evaluation service
-                          (``--worker-of URL`` joins a fleet)
-coordinate [NAMES...]     coordinate a sweep across worker nodes
-                          (lease-based dispatch, heartbeat eviction)
 obs report                run-history health report (trends + EWMA
                           regression flags from the runlog)
 profile NAMES...          sampling stack profiler over evaluations;
@@ -432,71 +429,14 @@ def _cmd_bench(args):
 
 def _cmd_serve(args):
     from repro.service import ServiceConfig, serve
-    if args.node_name and not args.worker_of:
-        raise CLIError("--node-name does nothing without --worker-of")
     config = ServiceConfig(
         host=args.host, port=args.port, workers=args.workers,
         pool_mode=args.pool, max_pending=args.queue_depth,
         max_jobs=args.max_jobs, cache_dir=args.cache_dir,
         use_cache=not args.no_cache, drain_timeout=args.drain_timeout,
         task_timeout=args.task_timeout,
-        max_pool_restarts=args.max_pool_restarts,
-        worker_of=args.worker_of, node_name=args.node_name)
+        max_pool_restarts=args.max_pool_restarts)
     return serve(config)
-
-
-def _cmd_coordinate(args):
-    """``repro coordinate``: drive a sweep over a worker fleet."""
-    from repro.cluster import (
-        CoordinatorConfig, announce_stderr, run_coordinated,
-    )
-    from repro.dse import fig10_table
-    from repro.dse.report import (
-        render_table, sweep_failures_table, sweep_stats_summary,
-    )
-
-    if args.fault_spec:
-        from repro.resilience.faultinject import (
-            ENV_VAR, FaultSpecError, parse_fault_spec, reset_plan,
-        )
-        try:
-            parse_fault_spec(args.fault_spec)
-        except FaultSpecError as exc:
-            raise CLIError(f"--fault-spec: {exc}") from None
-        os.environ[ENV_VAR] = args.fault_spec
-        reset_plan()
-    arbitration = _resolve_arbitration(args.max_error,
-                                       args.fidelity_file, "coordinate")
-    config = CoordinatorConfig(
-        host=args.host, port=args.port,
-        names=args.names or None, scale=args.scale,
-        with_amdahl=False, engine=args.engine,
-        arbitration=arbitration, cache_dir=args.cache_dir,
-        lease_ttl=args.lease_ttl, heartbeat_ttl=args.heartbeat_ttl,
-        hedge_after=args.hedge_after, timeout=args.timeout)
-    try:
-        sweep = run_coordinated(config, announce=announce_stderr)
-    except TimeoutError as exc:
-        raise CLIError(str(exc)) from None
-    except OSError as exc:
-        raise CLIError(f"cannot bind {args.host}:{args.port}: "
-                       f"{exc}") from None
-    summary = sweep_stats_summary(sweep)
-    print(f"[coordinate] {summary['benchmarks']} benchmarks resolved "
-          f"in {summary['total_seconds']:.1f}s "
-          f"(nodes={summary['workers']}, "
-          f"cache hits={summary['cache_hits']}, "
-          f"computed={summary['cache_misses']}, "
-          f"failures={summary['failures']}, "
-          f"dir={summary['cache_dir']})", file=sys.stderr)
-    if summary["failures"]:
-        print("[coordinate] failed benchmarks (artifact covers the "
-              "survivors):", file=sys.stderr)
-        print(render_table(sweep_failures_table(sweep)),
-              file=sys.stderr)
-    print("== Fig 10: tradeoffs ==")
-    print(render_table(fig10_table(sweep)))
-    return 1 if summary["failures"] else 0
 
 
 def _cmd_obs(args):
@@ -945,54 +885,6 @@ def build_parser():
     p.add_argument("--max-pool-restarts", type=int, default=2,
                    help="worker-pool deaths tolerated before "
                         "degrading to a single-worker pool")
-    p.add_argument("--worker-of", default=None, metavar="URL",
-                   help="join the coordinator at URL as a fleet "
-                        "worker: pull shard leases, evaluate them "
-                        "locally, push verified results (the service "
-                        "keeps answering its own HTTP traffic too)")
-    p.add_argument("--node-name", default=None,
-                   help="advertised node name when joining a fleet "
-                        "(default: host:pid)")
-
-    p = sub.add_parser("coordinate",
-                       help="coordinate a sweep across worker nodes")
-    p.add_argument("names", nargs="*",
-                   help="benchmarks to sweep (default: all)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8900,
-                   help="listen port (0 picks a free one)")
-    p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument("--cache-dir", default=None,
-                   help="shared store directory (default: "
-                        "$REPRO_CACHE_DIR or ~/.cache/repro-dse)")
-    p.add_argument("--lease-ttl", type=float, default=30.0,
-                   help="seconds before an unanswered shard lease "
-                        "expires and re-dispatches (default 30)")
-    p.add_argument("--heartbeat-ttl", type=float, default=5.0,
-                   help="seconds of heartbeat silence before a node "
-                        "is evicted and its leases released "
-                        "(default 5)")
-    p.add_argument("--hedge-after", type=float, default=10.0,
-                   help="seconds a shard must have been running "
-                        "before an idle node duplicates it "
-                        "(straggler hedging; default 10)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="overall wall-clock budget; unresolved "
-                        "shards past it abort the run (default: "
-                        "wait forever)")
-    p.add_argument("--engine", choices=("auto", "object", "fast"),
-                   default=None,
-                   help="timing-engine implementation workers use "
-                        "(byte-identical results)")
-    p.add_argument("--fault-spec", default=None,
-                   help="deterministic fault injection in the "
-                        "coordinator process (see docs/cluster.md)")
-    p.add_argument("--max-error", type=float, default=None,
-                   help="bounded-error model arbitration (see "
-                        "'repro sweep')")
-    p.add_argument("--fidelity-file", default=None,
-                   help="FIDELITY_<date>.json with measured error "
-                        "bounds (default: newest checked-in one)")
     return parser
 
 
@@ -1010,7 +902,6 @@ def main(argv=None):
         "bench": _cmd_bench,
         "validate": _cmd_validate,
         "serve": _cmd_serve,
-        "coordinate": _cmd_coordinate,
         "obs": _cmd_obs,
         "profile": _cmd_profile,
     }[args.command]

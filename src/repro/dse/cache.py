@@ -16,13 +16,12 @@ sweep: they are moved to ``<root>/quarantine/`` (capped at
 :data:`SweepCache.QUARANTINE_CAP` files, for post-mortem inspection)
 with a warning, and the benchmark is recomputed.
 
-Storage is pluggable behind the :class:`CacheBackend` protocol:
-:class:`LocalDirBackend` (the historical on-disk layout, preserved
-byte for byte) is the default, and :mod:`repro.cluster.backends` adds
-an HTTP peer backend plus a read-through tier for multi-node sweeps.
-:class:`SweepCache` remains the compatibility name for the local
-backend — every existing caller and cache directory keeps working
-unchanged.
+There is one store: :class:`LocalDirBackend`, a directory on the local
+disk laid out as ``<root>/<key[:2]>/<key>.json``.  The same root also
+holds the sweep checkpoint manifests (``sweeps/``), the run log, the
+quarantine and black-box dumps; :meth:`LocalDirBackend.iter_entries`
+walks only the two-hex-digit entry shards.  :class:`SweepCache` is the
+name the sweep engine, the service and the CLI use for it.
 """
 
 import hashlib
@@ -55,6 +54,9 @@ _CORE_ATTRS = (
     "alu_units", "mul_units", "fp_units", "in_order", "decode_depth",
     "branch_penalty", "vector_len",
 )
+
+#: Characters of a shard directory name (``key[:2]`` of a sha256 hex).
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 _engine_hash = None
 _engine_hash_lock = threading.Lock()
@@ -149,70 +151,7 @@ def default_cache_dir():
     return Path.home() / ".cache" / "repro-dse"
 
 
-def entry_payload(key, record, meta=None):
-    """The canonical cache-entry payload dict for one record.
-
-    Shared by every backend (and the cluster's peer-transfer wire
-    format): identical inputs must serialize to identical bytes no
-    matter which node or backend produced the entry.
-    """
-    payload = {"format": CACHE_FORMAT, "key": key, "record": record}
-    if meta is not None:
-        payload["meta"] = meta
-    return payload
-
-
-def dumps_entry(payload):
-    """Canonical serialization of a cache-entry payload.
-
-    This exact form (sorted keys, default separators) is what
-    :class:`LocalDirBackend` has always written to disk — peers that
-    exchange entries re-serialize through here, so a read-repaired or
-    peer-fetched entry is byte-identical to a locally computed one.
-    """
-    return json.dumps(payload, sort_keys=True)
-
-
-def entry_checksum(blob):
-    """Integrity checksum of serialized entry bytes (hex sha256)."""
-    if isinstance(blob, str):
-        blob = blob.encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-class CacheBackend:
-    """Protocol for content-addressed record storage.
-
-    A backend maps content keys (:func:`cache_key` hex digests) to
-    canonical record payloads.  The contract every implementation must
-    honor:
-
-    - :meth:`load` returns the *record* payload for a key, or ``None``
-      on any miss — including corruption, which a backend must contain
-      (quarantine / discard), never raise through.
-    - :meth:`store` persists a record (with optional ``meta``) so that
-      a subsequent :meth:`load` of the same key returns an equal
-      payload; writes must be atomic (no reader ever sees a torn
-      entry as a valid one).
-    - ``key in backend`` is a cheap existence probe.
-
-    Byte determinism is the load-bearing property: a record stored
-    through any backend and loaded from any other must re-serialize
-    (via :func:`dumps_entry`) to identical bytes, which is what makes
-    multi-node sweeps safe to merge and to hedge.
-    """
-
-    def load(self, key):
-        raise NotImplementedError
-
-    def store(self, key, record, meta=None):
-        raise NotImplementedError
-
-    def __contains__(self, key):
-        return self.load(key) is not None
-
-
-class LocalDirBackend(CacheBackend):
+class LocalDirBackend:
     """Directory of content-addressed benchmark records.
 
     Layout: ``<root>/<key[:2]>/<key>.json`` — two-level fan-out keeps
@@ -322,7 +261,10 @@ class LocalDirBackend(CacheBackend):
 
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = dumps_entry(entry_payload(key, record, meta=meta))
+        payload = {"format": CACHE_FORMAT, "key": key, "record": record}
+        if meta is not None:
+            payload["meta"] = meta
+        blob = json.dumps(payload, sort_keys=True)
         if consume_torn_store():
             blob = blob[:len(blob) // 2]
         fd, tmp = tempfile.mkstemp(
@@ -346,16 +288,19 @@ class LocalDirBackend(CacheBackend):
         """Yield ``(key, payload)`` for every well-formed entry.
 
         Sorted by key, so export output is deterministic for a given
-        cache population regardless of write order.  Quarantined,
-        corrupt and foreign-format files are skipped silently — this
-        is a read-only maintenance walk, not the hot load path.
+        cache population regardless of write order.  Only the
+        two-hex-digit shard directories of the entry layout are walked:
+        checkpoint manifests (``sweeps/``), quarantined files and
+        black-box dumps share the root but are not entries.  Corrupt
+        and foreign-format files are skipped silently — this is a
+        read-only maintenance walk, not the hot load path.
         """
         if not self.root.is_dir():
             return
         paths = []
         for shard in self.root.iterdir():
-            if not shard.is_dir() \
-                    or shard.name in ("quarantine", "blackbox"):
+            if len(shard.name) != 2 or not shard.is_dir() \
+                    or not set(shard.name) <= _HEX_DIGITS:
                 continue
             paths.extend(shard.glob("*.json"))
         for path in sorted(paths, key=lambda p: p.stem):
@@ -374,13 +319,7 @@ class LocalDirBackend(CacheBackend):
 
 
 class SweepCache(LocalDirBackend):
-    """The historical name of the on-disk backend (kept stable).
-
-    Existing callers (the sweep engine, the service, user code) and
-    existing cache directories work unchanged; new code that cares
-    about the storage layer should spell it :class:`LocalDirBackend`
-    and accept any :class:`CacheBackend`.
-    """
+    """The name callers use for the on-disk cache (kept stable)."""
 
 
 def export_records(cache, reference_core="IO2"):

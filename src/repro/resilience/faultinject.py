@@ -16,22 +16,6 @@ entries, each ``kind:field=value[:field=value...]``:
   truncated entry (simulates a torn write; exercises corruption
   quarantine and recompute).
 
-Cluster-level faults (consumed by :mod:`repro.cluster`):
-
-- ``nodekill:task=NAME`` — a worker *node* that accepts a lease for
-  *NAME* SIGKILLs its own process (the whole service, not just a pool
-  worker; exercises lease expiry, node eviction and re-dispatch).
-- ``hbdrop:count=N`` — the first *N* heartbeats this process would
-  send are silently dropped (exercises heartbeat-TTL eviction).
-- ``hbdelay:seconds=S`` — every heartbeat send is delayed *S* seconds
-  (exercises slow-node handling without eviction).
-- ``tornpeer:get=N`` — the *N*-th successful peer-cache GET response
-  is truncated client-side before checksum verification (exercises
-  quarantine-on-corrupt-response and read-repair retry).
-- ``partition:seconds=S`` — for *S* seconds after its first check,
-  every coordinator request from this process raises a connection
-  error (exercises worker backoff and re-registration).
-
 ``attempt`` defaults to ``0`` — the fault fires on the first try only,
 so retries succeed and a faulted run converges to the byte-identical
 clean artifact.  ``attempt=*`` fires on every try (exhausts the retry
@@ -40,9 +24,6 @@ budget; exercises terminal-failure reporting).
 ``crash`` and ``hang`` only fire in sacrificial pool workers (tasks
 flagged ``pooled`` by the runner), never inline in the parent — the
 inline degradation path must not take the whole process down.
-``nodekill`` is the deliberate exception: it exists to take a whole
-worker node down, and only fires in processes that joined a fleet
-(the cluster worker loop is its sole consumer).
 """
 
 import os
@@ -55,8 +36,7 @@ from repro.resilience.policy import TransientError
 #: Environment variable carrying the fault spec (inherited by pools).
 ENV_VAR = "REPRO_FAULT_SPEC"
 
-KINDS = ("crash", "hang", "flaky", "torn",
-         "nodekill", "hbdrop", "hbdelay", "tornpeer", "partition")
+KINDS = ("crash", "hang", "flaky", "torn")
 
 #: Exit code of an injected worker crash (recognizable in CI logs).
 CRASH_EXIT_CODE = 23
@@ -69,28 +49,19 @@ class FaultSpecError(ValueError):
 class Fault:
     """One parsed fault entry."""
 
-    __slots__ = ("kind", "task", "attempt", "seconds", "store",
-                 "count", "get")
+    __slots__ = ("kind", "task", "attempt", "seconds", "store")
 
     def __init__(self, kind, task=None, attempt=0, seconds=3600.0,
-                 store=None, count=None, get=None):
+                 store=None):
         self.kind = kind
         self.task = task
         self.attempt = attempt      # None = every attempt
         self.seconds = seconds
         self.store = store
-        self.count = count          # hbdrop: heartbeats to drop
-        self.get = get              # tornpeer: peer GET index to tear
 
     def __repr__(self):
         if self.kind == "torn":
             target = f"store={self.store}"
-        elif self.kind == "hbdrop":
-            target = f"count={self.count}"
-        elif self.kind == "tornpeer":
-            target = f"get={self.get}"
-        elif self.kind in ("hbdelay", "partition"):
-            target = f"seconds={self.seconds}"
         else:
             target = f"task={self.task}"
         return f"<Fault {self.kind}:{target} attempt={self.attempt}>"
@@ -124,10 +95,6 @@ def parse_fault_spec(text):
             seconds = float(fields.pop("seconds", 3600.0))
             store = fields.pop("store", None)
             store = int(store) if store is not None else None
-            count = fields.pop("count", None)
-            count = int(count) if count is not None else None
-            get = fields.pop("get", None)
-            get = int(get) if get is not None else None
         except ValueError as exc:
             raise FaultSpecError(
                 f"bad numeric field in {entry!r}: {exc}") from None
@@ -138,22 +105,11 @@ def parse_fault_spec(text):
             if store is None:
                 raise FaultSpecError(
                     f"{entry!r}: torn faults need store=N")
-        elif kind == "hbdrop":
-            if count is None:
-                raise FaultSpecError(
-                    f"{entry!r}: hbdrop faults need count=N")
-        elif kind == "tornpeer":
-            if get is None:
-                raise FaultSpecError(
-                    f"{entry!r}: tornpeer faults need get=N")
-        elif kind in ("hbdelay", "partition"):
-            pass                    # seconds has a default
         elif task is None:
             raise FaultSpecError(
                 f"{entry!r}: {kind} faults need task=NAME")
         faults.append(Fault(kind, task=task, attempt=attempt,
-                            seconds=seconds, store=store,
-                            count=count, get=get))
+                            seconds=seconds, store=store))
     return faults
 
 
@@ -163,9 +119,6 @@ class FaultPlan:
     def __init__(self, faults):
         self.faults = list(faults)
         self._stores = 0
-        self._peer_gets = 0
-        self._heartbeats = 0
-        self._partition_started = None
         self._lock = threading.Lock()
 
     def apply_task_faults(self, name, attempt=0, pooled=False):
@@ -216,80 +169,6 @@ class FaultPlan:
                 .inc(kind="torn")
         return torn
 
-    def consume_torn_peer_get(self):
-        """True when the current peer-cache GET should arrive torn."""
-        with self._lock:
-            index = self._peer_gets
-            self._peer_gets += 1
-        torn = any(fault.kind == "tornpeer" and fault.get == index
-                   for fault in self.faults)
-        if torn:
-            counter("repro_faults_injected_total",
-                    "faults fired by the injection harness") \
-                .inc(kind="tornpeer")
-            flight_event("fault.injected", fault="tornpeer",
-                         index=index)
-        return torn
-
-    def node_kill(self, name):
-        """True when accepting a lease for *name* should SIGKILL us.
-
-        The cluster worker loop is the only consumer; it performs the
-        actual ``SIGKILL`` so the death is indistinguishable from an
-        OOM-kill (no drain, no goodbye to the coordinator).
-        """
-        hit = any(fault.kind == "nodekill" and fault.task == name
-                  for fault in self.faults)
-        if hit:
-            counter("repro_faults_injected_total",
-                    "faults fired by the injection harness") \
-                .inc(kind="nodekill")
-            flight_event("fault.injected", fault="nodekill", task=name)
-        return hit
-
-    def consume_heartbeat_drop(self):
-        """True when the current heartbeat send should be dropped."""
-        budget = sum(fault.count or 0 for fault in self.faults
-                     if fault.kind == "hbdrop")
-        if not budget:
-            return False
-        with self._lock:
-            index = self._heartbeats
-            self._heartbeats += 1
-        dropped = index < budget
-        if dropped:
-            counter("repro_faults_injected_total",
-                    "faults fired by the injection harness") \
-                .inc(kind="hbdrop")
-            flight_event("fault.injected", fault="hbdrop", index=index)
-        return dropped
-
-    def heartbeat_delay(self):
-        """Seconds to delay each heartbeat send (0.0 without a fault)."""
-        return max((fault.seconds for fault in self.faults
-                    if fault.kind == "hbdelay"), default=0.0)
-
-    def partition_active(self):
-        """True while an injected coordinator partition is in effect.
-
-        The window starts at the first check (so the spec does not
-        need to know process start times) and lasts ``seconds``.
-        """
-        windows = [fault.seconds for fault in self.faults
-                   if fault.kind == "partition"]
-        if not windows:
-            return False
-        with self._lock:
-            if self._partition_started is None:
-                self._partition_started = time.monotonic()
-                counter("repro_faults_injected_total",
-                        "faults fired by the injection harness") \
-                    .inc(kind="partition")
-                flight_event("fault.injected", fault="partition",
-                             seconds=max(windows))
-            elapsed = time.monotonic() - self._partition_started
-        return elapsed < max(windows)
-
 
 #: Lazily parsed plan; ``None`` means "no spec", the sentinel means
 #: "not loaded yet" (so an empty env var is only checked once).
@@ -328,33 +207,3 @@ def consume_torn_store():
     """Module-level hook for the cache store path (False sans spec)."""
     plan = active_plan()
     return plan.consume_torn_store() if plan is not None else False
-
-
-def consume_torn_peer_get():
-    """Module-level hook for the peer-cache GET path."""
-    plan = active_plan()
-    return plan.consume_torn_peer_get() if plan is not None else False
-
-
-def node_kill(name):
-    """Module-level hook for the cluster worker loop."""
-    plan = active_plan()
-    return plan.node_kill(name) if plan is not None else False
-
-
-def consume_heartbeat_drop():
-    """Module-level hook for the heartbeat sender."""
-    plan = active_plan()
-    return plan.consume_heartbeat_drop() if plan is not None else False
-
-
-def heartbeat_delay():
-    """Module-level hook: per-heartbeat delay in seconds."""
-    plan = active_plan()
-    return plan.heartbeat_delay() if plan is not None else 0.0
-
-
-def partition_active():
-    """Module-level hook for the cluster client's request path."""
-    plan = active_plan()
-    return plan.partition_active() if plan is not None else False

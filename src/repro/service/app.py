@@ -48,8 +48,7 @@ class ServiceConfig:
     def __init__(self, host="127.0.0.1", port=8765, workers=2,
                  pool_mode="process", max_pending=8, max_jobs=4,
                  cache_dir=None, use_cache=True, drain_timeout=30.0,
-                 task_timeout=None, max_pool_restarts=2,
-                 worker_of=None, node_name=None):
+                 task_timeout=None, max_pool_restarts=2):
         self.host = host
         self.port = port
         self.workers = workers
@@ -61,10 +60,6 @@ class ServiceConfig:
         self.drain_timeout = drain_timeout
         self.task_timeout = task_timeout
         self.max_pool_restarts = max_pool_restarts
-        #: Coordinator URL to join as a fleet worker (None = standalone).
-        self.worker_of = worker_of
-        #: Advertised node name when joining a fleet.
-        self.node_name = node_name
 
 
 class BadRequest(Exception):
@@ -245,24 +240,6 @@ class EvaluationService:
             # Postmortem dumps land next to the cache this service uses.
             from repro.obs import set_blackbox_dir
             set_blackbox_dir(self.cache.root / "blackbox")
-            if self.config.worker_of:
-                # Fleet member: local dir under the coordinator's
-                # store — peer hits read-repair the local tier, local
-                # computations write through to the fleet.
-                from repro.cluster.backends import (
-                    HTTPPeerBackend, TieredCache,
-                )
-                self.cache = TieredCache(
-                    self.cache,
-                    HTTPPeerBackend(
-                        self.config.worker_of,
-                        quarantine_dir=self.cache.quarantine_dir))
-        self.fleet = None
-        if self.config.worker_of:
-            from repro.cluster.worker import FleetWorker
-            self.fleet = FleetWorker(self, self.config.worker_of,
-                                     node_name=self.config.node_name)
-        self._fleet_task = None
         self.host = self.config.host
         self.port = self.config.port
         self.draining = False
@@ -281,8 +258,6 @@ class EvaluationService:
         self.router.add("GET", "/v1/metrics", self.handle_metrics)
         self.router.add("GET", "/v1/benchmarks", self.handle_benchmarks)
         self.router.add("GET", "/v1/dash", self.handle_dash)
-        self.router.add("GET", "/v1/cache/{key}", self.handle_cache_get)
-        self.router.add("PUT", "/v1/cache/{key}", self.handle_cache_put)
 
     # ------------------------------------------------------------------
     # Core evaluation path: cache -> coalesce -> slots -> pool.
@@ -545,7 +520,7 @@ class EvaluationService:
 
     async def handle_healthz(self, request, params):
         self.jobs.evict()
-        payload = {
+        return Response.json({
             "status": "draining" if self.draining else "ok",
             "uptime_seconds": round(
                 time.time() - self.metrics.started_at, 3),
@@ -558,10 +533,7 @@ class EvaluationService:
                 "restarts": self.pool.restarts,
                 "degraded": self.pool.degraded,
             },
-        }
-        if self.fleet is not None:
-            payload["fleet"] = self.fleet.to_json()
-        return Response.json(payload)
+        })
 
     async def handle_metrics(self, request, params):
         if request.query.get("format", [""])[0] == "prom":
@@ -592,58 +564,6 @@ class EvaluationService:
         return Response(
             status=200, body=render_dash().encode("utf-8"),
             content_type="text/html; charset=utf-8")
-
-    # ------------------------------------------------------------------
-    # Peer-cache wire protocol (fleet entry sharing).
-
-    def _local_cache(self):
-        """The local tier (PUTs must not echo back to the peer)."""
-        if self.cache is None:
-            return None
-        return getattr(self.cache, "local", self.cache)
-
-    async def handle_cache_get(self, request, params):
-        """Serve the exact on-disk entry bytes, checksummed."""
-        from repro.cluster.backends import CHECKSUM_HEADER
-        from repro.dse.cache import entry_checksum
-
-        local = self._local_cache()
-        if local is None:
-            return Response.error(404, "cache disabled")
-        try:
-            blob = local.path_for(params["key"]).read_bytes()
-        except OSError:
-            return Response.error(
-                404, f"no cache entry {params['key'][:12]}...")
-        return Response(
-            status=200, body=blob,
-            headers={CHECKSUM_HEADER: entry_checksum(blob)})
-
-    async def handle_cache_put(self, request, params):
-        """Verify and persist a pushed entry into the local tier."""
-        from repro.cluster.backends import CHECKSUM_HEADER
-        from repro.dse.cache import CACHE_FORMAT, entry_checksum
-
-        local = self._local_cache()
-        if local is None:
-            return Response.error(404, "cache disabled")
-        key = params["key"]
-        expected = request.headers.get(CHECKSUM_HEADER.lower())
-        if expected is not None \
-                and entry_checksum(request.body) != expected:
-            return Response.error(400, "checksum mismatch")
-        import json
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return Response.error(400, "unparseable entry")
-        if not isinstance(payload, dict) \
-                or payload.get("format") != CACHE_FORMAT \
-                or payload.get("key") != key \
-                or "record" not in payload:
-            return Response.error(400, "entry identity mismatch")
-        local.store(key, payload["record"], meta=payload.get("meta"))
-        return Response.json({"stored": True})
 
     # ------------------------------------------------------------------
     # Dispatch: routing + metrics + failure containment.
@@ -715,8 +635,6 @@ class EvaluationService:
             limit=MAX_HEADER_BYTES)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
-        if self.fleet is not None:
-            self._fleet_task = asyncio.create_task(self.fleet.run())
         if install_signal_handlers:
             for signum in (signal.SIGTERM, signal.SIGINT):
                 try:
@@ -731,9 +649,16 @@ class EvaluationService:
             self._stop_event.set()
 
     def request_stop_threadsafe(self):
-        """Begin shutdown from another thread (tests, embedding)."""
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.request_stop)
+        """Begin shutdown from another thread (tests, embedding).
+
+        A no-op once the service has stopped and its loop is closed,
+        so a second stop request never races a finished drain.
+        """
+        if self._loop is not None and not self._loop.is_closed():
+            try:
+                self._loop.call_soon_threadsafe(self.request_stop)
+            except RuntimeError:        # loop closed since the check
+                pass
 
     async def wait_stopped(self):
         await self._stop_event.wait()
@@ -748,15 +673,6 @@ class EvaluationService:
         if drain_timeout is None:
             drain_timeout = self.config.drain_timeout
         self.draining = True
-        if self._fleet_task is not None:
-            # The fleet loop checks ``draining`` between leases, but a
-            # worker asleep in a poll/backoff should not stall drain.
-            self._fleet_task.cancel()
-            try:
-                await self._fleet_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._fleet_task = None
         if self._server is not None:
             self._server.close()
             # 3.12+ wait_closed also waits for connection handlers;
@@ -807,11 +723,6 @@ def serve(config=None):
               f"(workers={service.pool.workers} mode={service.pool.mode} "
               f"queue={service.slots.capacity} cache={cache_note})",
               file=sys.stderr, flush=True)
-        if service.fleet is not None:
-            print(f"[serve] joining fleet at "
-                  f"{service.fleet.client.base_url} as "
-                  f"{service.fleet.node_name}",
-                  file=sys.stderr, flush=True)
         await service.wait_stopped()
         print("[serve] draining...", file=sys.stderr, flush=True)
         await service.shutdown()

@@ -347,6 +347,24 @@ class TestRunLog:
             assert entry["schema"] == 1
             assert entry["date"]
 
+    def test_rotation_keeps_one_contiguous_history(self, tmp_path):
+        line_bytes = len(json.dumps({"kind": "sweep", "n": 0},
+                                    sort_keys=True)) + 1
+        log = RunLog(tmp_path, max_bytes=3 * line_bytes)
+        for n in range(3):
+            log.append({"kind": "sweep", "n": n})
+        assert not log.rotated_path.exists()
+        log.append({"kind": "sweep", "n": 3})     # would pass the cap
+        assert log.rotated_path.exists()
+        assert [e["n"] for e in RunLog(tmp_path).read()] == [0, 1, 2, 3]
+        assert log.path.stat().st_size == line_bytes
+        # A second rollover replaces the older generation: disk stays
+        # bounded and the oldest entries are the ones dropped.
+        for n in range(4, 7):
+            log.append({"kind": "sweep", "n": n})
+        assert [e["n"] for e in log.read()] == [3, 4, 5, 6]
+        assert [e["n"] for e in log.read(limit=2)] == [5, 6]
+
     def test_ewma_and_regression_detection(self):
         assert ewma([10.0]) == 10.0
         assert ewma([0.0, 10.0], alpha=0.5) == 5.0

@@ -115,6 +115,8 @@ class TestFaultSpec:
         "torn:task=conv",             # torn needs store=
         "crash:task=conv:attempt=x",  # bad number
         "crash:task=conv:bogus=1",    # unknown field
+        "nodekill:task=conv",         # unknown kind
+        "tornpeer:get=0",             # unknown kind
     ])
     def test_rejects_malformed_specs(self, text):
         with pytest.raises(FaultSpecError):
@@ -367,17 +369,27 @@ class TestQuarantine:
 
     def test_quarantine_cap_deletes_overflow(self, tmp_path):
         cache = SweepCache(tmp_path)
+        cap = SweepCache.QUARANTINE_CAP
         cache.quarantine_dir.mkdir(parents=True)
-        for index in range(SweepCache.QUARANTINE_CAP):
+        for index in range(cap - 1):
             (cache.quarantine_dir / f"old-{index}.json").write_text("x")
-        key = self._store_one(cache)
-        path = cache.path_for(key)
-        path.write_text("not json")
-        with pytest.warns(RuntimeWarning, match="corrupt sweep cache"):
-            assert cache.load(key) is None
-        assert not path.exists()                      # deleted, not kept
-        assert len(list(cache.quarantine_dir.iterdir())) \
-            == SweepCache.QUARANTINE_CAP
+
+        def corrupt_and_load(key):
+            self._store_one(cache, key)
+            path = cache.path_for(key)
+            path.write_text("not json")
+            with pytest.warns(RuntimeWarning,
+                              match="corrupt sweep cache"):
+                assert cache.load(key) is None
+            assert not path.exists()
+            return cache.quarantine_dir / path.name
+
+        # The CAP-th corrupt entry still fits: moved aside, preserved.
+        assert corrupt_and_load("a" * 64).exists()
+        assert len(list(cache.quarantine_dir.iterdir())) == cap
+        # The CAP+1-th is deleted instead, and the count stays at cap.
+        assert not corrupt_and_load("b" * 64).exists()
+        assert len(list(cache.quarantine_dir.iterdir())) == cap
 
     def test_torn_store_fault_roundtrips_through_quarantine(
             self, tmp_path, fault_spec):

@@ -320,6 +320,32 @@ class TestCacheBehavior:
             assert metrics["cache"]["hits"] == 1
             assert metrics["cache"]["hit_rate"] == 0.5
 
+    def test_cache_entries_cannot_be_written_over_http(self, tmp_path):
+        """The cache is filled only by evaluations: a PUT of a forged
+        entry is refused and never served back."""
+        from repro.dse.cache import CACHE_FORMAT
+        from repro.service.app import _normalize_params
+
+        stub = StubEvaluator()
+        config = ServiceConfig(port=0, workers=1, pool_mode="thread",
+                               cache_dir=tmp_path, use_cache=True)
+        with running_service(config, evaluator=stub) as (service,
+                                                         client):
+            _, key = service._task_and_key(
+                "conv", _normalize_params(dict(EVAL_KW)))
+            forged = {"format": CACHE_FORMAT, "key": key,
+                      "record": stub_payload("forged")}
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{service.port}/v1/cache/{key}",
+                data=json.dumps(forged).encode(), method="PUT")
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=30)
+            assert info.value.code in (404, 405)
+            response = client.evaluate("conv", **EVAL_KW)
+        assert response["source"] in ("computed", "cache")
+        assert response["record"] == stub_payload("conv")
+        assert stub.calls == ["conv"]
+
 
 class TestSweepJobs:
     def test_job_roundtrip(self):
@@ -399,6 +425,56 @@ class TestSweepJobs:
             job = client.wait_job(first["job_id"], poll_interval=0.05,
                                   timeout=30)
             assert job["status"] == "done"
+
+
+class TestJobRegistryEviction:
+    """Terminal jobs are bounded by age and by count; active jobs are
+    never evicted."""
+
+    @staticmethod
+    def finished(registry, at):
+        job = registry.create("sweep", {}, total=1)
+        job.finish({})
+        job.finished_at = at
+        return job
+
+    def test_terminal_jobs_expire_after_ttl(self):
+        from repro.service.jobs import JobRegistry
+        now = [1000.0]
+        registry = JobRegistry(max_active=2, terminal_ttl=60.0,
+                               clock=lambda: now[0])
+        done = self.finished(registry, at=1000.0)
+        running = registry.create("sweep", {}, total=1)
+        now[0] = 1060.0                     # exactly at the TTL: kept
+        assert registry.get(done.id) is done
+        assert registry.evicted_total == 0
+        now[0] = 1060.5
+        assert registry.get(done.id) is None
+        assert registry.get(running.id) is running
+        assert registry.evicted_total == 1
+        assert registry.to_json() == {
+            "active": 1, "terminal": 0, "max_active": 2,
+            "max_terminal": registry.max_terminal,
+            "terminal_ttl_seconds": 60.0, "evicted_total": 1,
+        }
+
+    def test_count_cap_evicts_oldest_finished_first(self):
+        from repro.service.jobs import JobRegistry
+        registry = JobRegistry(max_active=4, max_terminal=2,
+                               terminal_ttl=1e9, clock=lambda: 50.0)
+        running = registry.create("sweep", {}, total=1)
+        # Finish order differs from creation order on purpose.  Each
+        # create evicts first, so the third finished job is still held.
+        jobs = [self.finished(registry, at=at) for at in (30, 10, 20)]
+        assert len(registry) == 4
+        assert registry.evict() == 1
+        assert registry.get(jobs[1].id) is None     # finished first
+        assert registry.get(jobs[0].id) is jobs[0]
+        assert registry.get(jobs[2].id) is jobs[2]
+        assert registry.get(running.id) is running
+        state = registry.to_json()
+        assert (state["active"], state["terminal"],
+                state["evicted_total"]) == (1, 2, 1)
 
 
 class TestExploreJobs:

@@ -214,6 +214,14 @@ class TestSweepCacheStoreLoad:
                      if p.is_file() and p.suffix != ".json"]
         assert leftovers == []
 
+    def test_iter_entries_yields_only_records(self, tmp_path):
+        """The checkpoint manifest under ``sweeps/`` carries the same
+        ``format`` as an entry but is not one."""
+        run_sweep(cache_dir=tmp_path, **KW)
+        assert list((tmp_path / "sweeps").glob("*.json"))
+        keys = [key for key, _ in SweepCache(tmp_path).iter_entries()]
+        assert keys == sorted(key_with(name=name) for name in NAMES)
+
     def test_default_cache_dir_env_override(self, tmp_path,
                                             monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "x"))
